@@ -522,62 +522,71 @@ pub const SPILL_GATE_BUDGET_BYTES: usize = 32 << 20;
 /// run peaks ~105 MiB against a ~126 MiB allowance on this workload.)
 pub const SPILL_GATE_SLACK_BYTES: u64 = 64 << 20;
 
+/// Runs a triangle count with a forced strategy (64 reducers, 4 threads)
+/// under `budget`, reads the process peak RSS right after it, and fails
+/// unless the run spilled and matches an unbudgeted count run afterwards.
+/// Returns the report line and the peak.
+fn spill_check(
+    graph: &subgraph_graph::DataGraph,
+    strategy: StrategyKind,
+    budget: usize,
+) -> Result<(String, Option<u64>), String> {
+    let count_with = |budget: usize| {
+        EnumerationRequest::named("triangle", graph)
+            .expect("triangle is a catalog pattern")
+            .reducers(64)
+            .strategy(strategy)
+            .engine(EngineConfig::with_threads(4).memory_budget(budget))
+            .plan()
+            .expect("the strategy applies to the triangle pattern")
+            .count()
+    };
+    let budgeted = count_with(budget);
+    let peak = peak_rss_bytes();
+    let (spilled, runs) = budgeted
+        .metrics
+        .as_ref()
+        .map_or((0, 0), |m| (m.spilled_bytes, m.spill_runs));
+    let (count, expected) = (budgeted.count(), count_with(0).count());
+    let what = format!("{strategy} at a {} KiB budget", budget >> 10);
+    if spilled == 0 || count != expected {
+        return Err(format!(
+            "spill gate FAILED: {what} spilled {spilled} bytes, count {count} vs {expected} \
+             in memory\n"
+        ));
+    }
+    let line = format!(
+        "spill gate: {what} spilled {:.1} MiB over {runs} runs, count {count} matches the \
+         in-memory run\n",
+        spilled as f64 / (1024.0 * 1024.0)
+    );
+    Ok((line, peak))
+}
+
 /// The `reproduce spill-gate` CI step: proves the memory budget actually
 /// bounds the resident shuffle. Generates the quick-mode graph, records the
-/// post-generation RSS baseline, runs ONE budgeted count (the first and only
-/// shuffle this process has run — `VmHWM` is a lifetime high-water mark, so
-/// the gate must run as its own `reproduce` invocation, never after an
-/// unbudgeted sweep), and fails when the process peak exceeds
+/// post-generation RSS baseline, runs ONE budgeted `bucket-ordered` count
+/// (the first and only shuffle this process has run — `VmHWM` is a lifetime
+/// high-water mark, so the gate must run as its own `reproduce` invocation,
+/// never after an unbudgeted sweep), and fails when the process peak exceeds
 /// `baseline + budget + SPILL_GATE_SLACK_BYTES`. The budgeted count is then
 /// checked against an unbudgeted run (executed *after* the peak was read).
 /// Hosts without `VmHWM` degrade to an informational pass on the RSS check
-/// but still verify spilling and count parity.
+/// but still verify spilling and count parity. Last, a budgeted count of the
+/// combining `multiway-triangles` round on a smaller graph must spill and
+/// match too; the RSS bound does not cover it, because a combining round
+/// still holds each map shard's grouping table resident, outside the budget.
 pub fn spill_gate() -> Result<String, String> {
     let (_, n, target_edges, _) = quick_workload();
     let p = 2.0 * target_edges as f64 / (n as f64 * (n as f64 - 1.0));
     let graph = generators::gnp_sparse(n, p, 20_260_731);
     let baseline = peak_rss_bytes();
-
-    let count_with = |budget: usize| {
-        EnumerationRequest::named("triangle", &graph)
-            .expect("triangle is a catalog pattern")
-            .reducers(64)
-            .strategy(StrategyKind::BucketOrderedTriangles)
-            .engine(EngineConfig::with_threads(4).memory_budget(budget))
-            .plan()
-            .expect("bucket-ordered applies to the triangle pattern")
-            .count()
-    };
-    let budgeted = count_with(SPILL_GATE_BUDGET_BYTES);
-    let peak = peak_rss_bytes();
-    let spilled = budgeted.metrics.as_ref().map_or(0, |m| m.spilled_bytes);
-    if spilled == 0 {
-        return Err(format!(
-            "spill gate FAILED: a {} MiB budget spilled nothing on a {}-edge shuffle\n",
-            SPILL_GATE_BUDGET_BYTES >> 20,
-            graph.num_edges()
-        ));
-    }
-    let unbudgeted = count_with(0);
-    if unbudgeted.count() != budgeted.count() {
-        return Err(format!(
-            "spill gate FAILED: budgeted count {} != unbudgeted count {}\n",
-            budgeted.count(),
-            unbudgeted.count()
-        ));
-    }
-
-    let verdict = spill_gate_verdict(baseline, peak, graph.num_edges());
-    verdict.map(|text| {
-        format!(
-            "spill gate: {} MiB budget spilled {:.1} MiB over {} runs, count {} matches the \
-             in-memory run\n{text}",
-            SPILL_GATE_BUDGET_BYTES >> 20,
-            spilled as f64 / (1024.0 * 1024.0),
-            budgeted.metrics.as_ref().map_or(0, |m| m.spill_runs),
-            budgeted.count(),
-        )
-    })
+    let plain = StrategyKind::BucketOrderedTriangles;
+    let (mut out, peak) = spill_check(&graph, plain, SPILL_GATE_BUDGET_BYTES)?;
+    // ~4 MiB of combined arena bytes against a 1 MiB budget.
+    let small = generators::gnm(5_000, 40_000, 20_260_731);
+    out += &spill_check(&small, StrategyKind::MultiwayTriangles, 1 << 20)?.0;
+    spill_gate_verdict(baseline, peak, graph.num_edges()).map(|verdict| out + &verdict)
 }
 
 /// The RSS half of the gate's decision, separated for unit tests:

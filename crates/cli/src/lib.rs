@@ -99,8 +99,8 @@ pub struct RequestOpts {
     pub reducers: Option<usize>,
     /// Worker threads for the engine (defaults to available parallelism).
     pub threads: Option<usize>,
-    /// Resident-memory budget in bytes for the shuffle (`--memory-budget`);
-    /// `None` or 0 keeps everything in memory.
+    /// Resident-memory budget in bytes for every round's shuffle
+    /// (`--memory-budget`); `None` or 0 keeps everything in memory.
     pub memory_budget: Option<usize>,
     /// Base directory for spill run files (`--spill-dir`); `None` uses the
     /// OS temp dir.
@@ -314,9 +314,12 @@ request options:
                         <= 1 plans a serial algorithm)
   --threads <t>         engine worker threads (default: all cores;
                         for serve: per-query budget, default 1)
-  --memory-budget <b>   resident-memory budget for the shuffle; past it the
-                        engine spills to disk (suffixes K/M/G, e.g. 512M, 2G;
-                        default 0 = unbounded, never touch disk)
+  --memory-budget <b>   resident-memory budget for every round's shuffle,
+                        combining rounds included; past it the engine spills
+                        to disk (suffixes K/M/G, e.g. 512M, 2G; default 0 =
+                        unbounded, never touch disk). Not bounded: a
+                        combining round's per-map-shard grouping table and
+                        cascade's inter-round wedge list
   --spill-dir <dir>     where spill run files go (default: the OS temp dir;
                         always cleaned up, even on panic)
   --strategy <name>     force a strategy (e.g. bucket-oriented, cq-oriented)

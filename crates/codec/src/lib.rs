@@ -1,11 +1,12 @@
 //! Compact record serialization for the engine's arena shuffle.
 //!
-//! The map-reduce engine's classic shuffle moves every `(key, value)` pair as
-//! a Rust struct inside `Vec<(u64, K, V)>` buckets: ~32 bytes per record for
-//! the paper's triangle workloads against a ~10-byte logical payload. The
-//! arena shuffle instead serializes records into flat byte buffers, and this
-//! crate defines the encoding those buffers use: [`ArenaCodec`], a
+//! Moving every `(key, value)` pair through the shuffle as a Rust struct
+//! inside `Vec<(u64, K, V)>` buckets costs ~32 bytes per record for the
+//! paper's triangle workloads against a ~10-byte logical payload. The
+//! engine's arena shuffle instead serializes records into flat byte buffers,
+//! and this crate defines the encoding those buffers use: [`ArenaCodec`], a
 //! fixed-format, allocation-free codec with LEB128 varints for integers.
+//! Every round's key and value types implement it.
 //!
 //! The codec is *engine-internal*: encoded bytes never leave the process and
 //! are always decoded by the same build that produced them, so there is no

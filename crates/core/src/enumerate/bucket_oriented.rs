@@ -115,16 +115,12 @@ pub fn bucket_oriented_with_cqs_into(
         }
     };
 
-    let report = crate::stream::run_streamed_with_sink(
-        Pipeline::new().round(
+    let report = Pipeline::new()
+        .round(
             Round::new("bucket-oriented", mapper, reducer)
-                .record_bytes(|key: &BucketKey, _edge: &Edge| vec_key_record_bytes(key.len()))
-                .arena(),
-        ),
-        graph.edges(),
-        config,
-        sink,
-    );
+                .record_bytes(|key: &BucketKey, _edge: &Edge| vec_key_record_bytes(key.len())),
+        )
+        .run_with_sink(graph.edges(), config, sink);
     RunStats::from_pipeline(report)
 }
 

@@ -104,16 +104,12 @@ pub fn single_cq_job_into(
         }
     };
 
-    let report = crate::stream::run_streamed_with_sink(
-        Pipeline::new().round(
+    let report = Pipeline::new()
+        .round(
             Round::new("cq-job", mapper, reducer)
-                .record_bytes(|key: &BucketKey, _edge: &Edge| vec_key_record_bytes(key.len()))
-                .arena(),
-        ),
-        graph.edges(),
-        config,
-        sink,
-    );
+                .record_bytes(|key: &BucketKey, _edge: &Edge| vec_key_record_bytes(key.len())),
+        )
+        .run_with_sink(graph.edges(), config, sink);
     RunStats::from_pipeline(report)
 }
 

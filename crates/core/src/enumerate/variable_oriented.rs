@@ -130,16 +130,12 @@ pub fn run_with_plan_into(
         }
     };
 
-    let report = crate::stream::run_streamed_with_sink(
-        Pipeline::new().round(
+    let report = Pipeline::new()
+        .round(
             Round::new("variable-oriented", mapper, reducer)
-                .record_bytes(|key: &BucketKey, _edge: &Edge| vec_key_record_bytes(key.len()))
-                .arena(),
-        ),
-        graph.edges(),
-        config,
-        sink,
-    );
+                .record_bytes(|key: &BucketKey, _edge: &Edge| vec_key_record_bytes(key.len())),
+        )
+        .run_with_sink(graph.edges(), config, sink);
     RunStats::from_pipeline(report)
 }
 

@@ -75,12 +75,9 @@ pub(crate) fn run_bucket_ordered_triangles_into(
         ctx.add_work(work);
     };
 
-    let report = crate::stream::run_streamed_with_sink(
-        Pipeline::new().round(Round::new("bucket-ordered", mapper, reducer).arena()),
-        graph.edges(),
-        config,
-        sink,
-    );
+    let report = Pipeline::new()
+        .round(Round::new("bucket-ordered", mapper, reducer))
+        .run_with_sink(graph.edges(), config, sink);
     RunStats::from_pipeline(report)
 }
 
@@ -179,5 +176,20 @@ mod tests {
         assert_eq!(run.metrics.reducers_used, 1);
         assert_eq!(run.count(), enumerate_triangles_serial(&g).count());
         assert_eq!(run.metrics.key_value_pairs, g.num_edges());
+    }
+
+    #[test]
+    fn a_forced_budget_spills_without_changing_the_answer() {
+        // b = 10 ships ~30k records (~350 KiB of arena bytes) — comfortably
+        // past a 64 KiB budget.
+        let g = generators::gnm(200, 3000, 7);
+        let base = run_bucket_ordered_triangles(&g, 10, &config());
+        let budgeted = run_bucket_ordered_triangles(&g, 10, &config().memory_budget(64 << 10));
+        assert_eq!(budgeted.instances(), base.instances());
+        assert!(
+            budgeted.metrics.spilled_bytes > 0,
+            "a 64 KiB budget must spill this workload"
+        );
+        assert_eq!(base.metrics.spilled_bytes, 0);
     }
 }

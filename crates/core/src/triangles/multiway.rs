@@ -226,4 +226,26 @@ mod tests {
         assert_eq!(run.count(), 120);
         assert_eq!(run.duplicates(), 0);
     }
+
+    #[test]
+    fn a_forced_budget_spills_the_combining_round_with_identical_output() {
+        // b = 10 ships 28 records per edge (~800 KiB of arena bytes over 3000
+        // edges): the combined records must spill past a 64 KiB budget.
+        let g = generators::gnm(200, 3000, 7);
+        let b = 10;
+        let base = run_multiway_triangles(&g, b, &config());
+        let budgeted = run_multiway_triangles(&g, b, &config().memory_budget(64 << 10));
+        assert!(
+            budgeted.metrics.spilled_bytes > 0 && budgeted.metrics.spill_runs > 0,
+            "a 64 KiB budget must spill the combining round"
+        );
+        assert_eq!(base.metrics.spilled_bytes, 0);
+        assert_eq!(budgeted.instances(), base.instances());
+        assert_eq!(
+            budgeted.metrics.shuffle_records,
+            (3 * b - 2) * g.num_edges()
+        );
+        assert_eq!(budgeted.metrics.shuffle_bytes, base.metrics.shuffle_bytes);
+        assert_eq!(budgeted.metrics.reducer_work, base.metrics.reducer_work);
+    }
 }

@@ -1,15 +1,22 @@
-//! The arena shuffle: flat byte buffers instead of `Vec<(K, V)>` records.
+//! The round executor: a two-phase parallel exchange of flat byte arenas.
 //!
-//! The classic shuffle representation costs ~32 bytes per record for the
-//! paper's triangle workloads (`(u64 hash, [u32; 3], Edge)` with padding)
-//! *twice* — once in the map context's pair vector, once in the partitioned
-//! buckets. The arena shuffle removes both: map workers serialize every
-//! emission straight into one **byte arena per reduce shard** using the
+//! A `Vec<(K, V)>` shuffle costs ~32 bytes per record for the paper's
+//! triangle workloads (`(u64 hash, [u32; 3], Edge)` with padding) *twice* —
+//! once in the map context's pair vector, once in the partitioned buckets.
+//! The arena shuffle removes both: map workers serialize every shipped record
+//! straight into one **byte arena per reduce shard** using the
 //! [`ArenaCodec`] varint encoding (~10 bytes per triangle record), the
 //! exchange transposes arena ownership without touching a record, and reduce
-//! workers decode each arena chunk once while grouping — returning consumed
-//! chunks to the [`BufferPool`] as they go, so resident memory *falls*
-//! through the reduce phase instead of peaking.
+//! workers decode each arena chunk once while grouping, releasing consumed
+//! chunks as they go — banked in the [`BufferPool`] for the next round, or,
+//! under a memory budget, freed, so resident memory *falls* through the
+//! reduce phase instead of peaking.
+//!
+//! A round without an active combiner encodes each emission the moment the
+//! mapper makes it. A combining round collects one logical map shard's
+//! emissions as pairs, groups them by key, runs the [`crate::Combiner`] on
+//! each group, and encodes the surviving records into the same arenas,
+//! routed by the hash computed while grouping.
 //!
 //! Under an [`EngineConfig::memory_budget`] the arena additionally spills:
 //! when the round's resident chunk bytes cross the budget, the map worker
@@ -17,39 +24,42 @@
 //! and recycles the buffers, and the reduce phase streams each bucket's runs
 //! back *before* its resident tail — run records are strictly older than
 //! resident ones, so the merged order is exactly the in-memory order and the
-//! merge is concatenation, not sort.
+//! merge is concatenation, not sort. Combined records spill like any other.
 //!
-//! Parity contract (pinned by `tests/pool_parity.rs` / `tests/sink_parity.rs`
-//! and the acceptance sweep): outputs and every [`JobMetrics`] counter are
-//! byte-identical to the classic executors — and, spill counters aside, the
-//! same at every budget. The ingredients:
+//! Parity contract (pinned against the serial reference executor in
+//! `crate::oracle`): outputs and every [`JobMetrics`] counter are a pure
+//! function of the inputs, the round and the thread count — and, spill
+//! counters aside, the same at every budget. The ingredients:
 //!
-//! * **Routing** uses the same emit-time FxHash + [`shard_for_hash`], so
-//!   records land in the same reduce shard.
-//! * **Grouping** uses the same `PrehashedMap` with the same capacity
-//!   heuristic and the same insertion order (map-shard order, emission order
-//!   within a shard — spilled runs then the resident tail preserve exactly
-//!   that order), so even non-deterministic iteration order matches.
+//! * **Logical map shards** are `len.div_ceil(threads)` records, one pool
+//!   task each; they define the combiner's scope and the arena fill order.
+//! * **Routing** uses the emit-time FxHash + [`shard_for_hash`].
+//! * **Grouping** uses a `PrehashedMap` whose capacity, hasher and insertion
+//!   order (map-shard order, emission order within a shard — spilled runs
+//!   then the resident tail preserve exactly that order) are fixed, so even
+//!   the non-deterministic iteration order repeats.
 //! * **`shuffle_bytes`** is priced by the round's record weigher exactly once
-//!   per record — on the reduce side, where each record is decoded —
-//!   summing to the same total the classic map-side pricing produces.
-//! * **Hash accounting** differs by design: the arena path hashes each key
-//!   once at emit (routing) and once at decode (grouping) instead of carrying
-//!   8 hash bytes per record through the exchange. The debug hash counters
-//!   assert exactly that shape here.
+//!   per shipped record, on the reduce side, where each record is decoded.
+//! * **Hash accounting**: each emitted key is hashed once on the map side
+//!   (for routing, or for the combiner's grouping) and each shipped key once
+//!   more at decode (for grouping), instead of carrying 8 hash bytes per
+//!   record through the exchange. The debug hash counters assert exactly
+//!   that shape.
 //!
-//! `partition_time` reports zero on this path: partitioning happens inside
-//! the emit call, so its cost is already part of `map_time`. `spill_read_secs`
-//! is likewise a slice of `reduce_time` (the critical-path run-file reads).
+//! `partition_time` is zero for rounds without a combiner (partitioning
+//! happens inside the emit call, so its cost is part of `map_time`) and the
+//! combine-plus-encode slice of `map_time` for combining rounds.
+//! `spill_read_secs` is likewise a slice of `reduce_time` (the critical-path
+//! run-file reads).
 
 use crate::engine::{shard_for_hash, EngineConfig};
 use crate::hash::{hash_for_shuffle, prehashed_map_with_capacity, Prehashed, PrehashedMap};
 use crate::metrics::JobMetrics;
-use crate::pipeline::{InputChunk, ReduceOutcome, Round, Slot};
-use crate::pool::{BufferPool, WorkerPool};
+use crate::pipeline::Round;
+use crate::pool::BufferPool;
 use crate::sink::{OutputSink, SinkShard};
 use crate::spill::{RunReader, SpillRound};
-use crate::task::{MapContext, ReduceContext};
+use crate::task::{Combiner, MapContext, Mapper, ReduceContext};
 use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -67,6 +77,9 @@ use subgraph_codec::ArenaCodec;
 /// before a small budget is exhausted.
 pub(crate) const ARENA_CHUNK: usize = 1 << 20;
 
+/// A one-shot result slot a pool task fills for the coordinator.
+type Slot<T> = Mutex<Option<T>>;
+
 /// One reduce shard's byte arena on one map worker: sealed chunks of
 /// back-to-back encoded `(key, value)` records, plus the run files earlier
 /// sealed chunks were spilled into. A record never spans chunks.
@@ -75,7 +88,9 @@ pub(crate) struct ArenaBucket {
     /// Spill run files holding this bucket's oldest chunks, in epoch (write)
     /// order. Empty on the unbudgeted path.
     runs: Vec<PathBuf>,
-    records: usize,
+    /// Grouping entries the bucket feeds the reduce side: one per record on
+    /// the plain path, one per distinct key on the combining path.
+    entries: usize,
 }
 
 impl ArenaBucket {
@@ -83,7 +98,7 @@ impl ArenaBucket {
         ArenaBucket {
             chunks: Vec::new(),
             runs: Vec::new(),
-            records: 0,
+            entries: 0,
         }
     }
 
@@ -91,12 +106,14 @@ impl ArenaBucket {
     /// cannot hold it whole — or has already reached `chunk_target`, which is
     /// what *seals* a chunk (recycled pool buffers can be far larger than the
     /// target; without the target cap a budgeted round's chunks would never
-    /// seal and nothing could spill). Returns the capacity newly reserved for
-    /// the round (0 when the record fit in the open chunk) so a budgeted
-    /// caller can account resident bytes.
+    /// seal and nothing could spill). `new_entry` counts the record towards
+    /// [`ArenaBucket::entries`]. Returns the capacity newly reserved for the
+    /// round (0 when the record fit in the open chunk) so a budgeted caller
+    /// can account resident bytes.
     fn push(
         &mut self,
         record: &[u8],
+        new_entry: bool,
         buffers: &BufferPool,
         chunk_target: usize,
         bounded: bool,
@@ -122,17 +139,17 @@ impl ArenaBucket {
         }
         let chunk = self.chunks.last_mut().expect("a chunk was just ensured");
         chunk.extend_from_slice(record);
-        self.records += 1;
+        self.entries += usize::from(new_entry);
         reserved
     }
 
-    /// Number of records in the bucket — the reduce side's capacity heuristic
-    /// input, mirroring the classic path's `key_entries`. Spilling never
+    /// The reduce side's grouping-capacity heuristic input: records on the
+    /// plain path, distinct keys on the combining path. Spilling never
     /// decrements it: spilled records still arrive at the reducer, so the
     /// heuristic (and with it the grouping map's growth pattern) is identical
     /// at every budget.
-    pub(crate) fn records(&self) -> usize {
-        self.records
+    pub(crate) fn entries(&self) -> usize {
+        self.entries
     }
 
     /// The spilled runs (epoch order) and resident chunks (write order).
@@ -205,25 +222,31 @@ where
 
 impl<K, V> ArenaState<K, V> {
     /// Routes and serializes one emission: hash the key (the counted,
-    /// emit-side hash), pick the reduce shard, encode into that shard's
-    /// arena. Under a budget, opening a chunk that pushes the round's
-    /// resident bytes past the budget triggers a spill of this worker's
-    /// sealed chunks.
+    /// emit-side hash), then [`ArenaState::ship`] it.
     pub(crate) fn emit(&mut self, key: &K, value: &V) {
         let hash = (self.hash)(key);
+        self.emitted += 1;
+        self.ship(hash, key, value, true);
+    }
+
+    /// Encodes one record whose key hash is already known into the arena of
+    /// the reduce shard that hash routes to. Under a budget, opening a chunk
+    /// that pushes the round's resident bytes past the budget triggers a
+    /// spill of this worker's sealed chunks.
+    pub(crate) fn ship(&mut self, hash: u64, key: &K, value: &V, new_entry: bool) {
         let shard = shard_for_hash(hash, self.buckets.len());
         self.scratch.clear();
         (self.encode)(key, value, &mut self.scratch);
         let reserved = self.buckets[shard].push(
             &self.scratch,
+            new_entry,
             &self.buffers,
             self.chunk_target,
             self.spill.is_some(),
         );
-        self.emitted += 1;
         if reserved > 0 {
-            // Budget check only on chunk open: the common emit path (record
-            // fits) costs nothing extra.
+            // Budget check only on chunk open: the common path (record fits)
+            // costs nothing extra.
             let over = match &self.spill {
                 Some(spill) => {
                     spill.resident.fetch_add(reserved, Ordering::Relaxed) + reserved > spill.budget
@@ -281,63 +304,70 @@ impl<K, V> ArenaState<K, V> {
     }
 }
 
-/// What one arena map worker hands to the exchange.
-struct ArenaMapOutcome {
+/// What one map task hands to the exchange.
+struct MapOutcome {
     /// One arena per reduce shard, indexed by [`shard_for_hash`].
     buckets: Vec<ArenaBucket>,
-    /// Records emitted by the worker's mapper calls.
+    /// Pairs emitted by the shard's mapper calls (pre-combiner).
     emitted: usize,
+    /// Records surviving the combiner (0 when no combiner ran).
+    kept: usize,
+    /// Time spent grouping, combining and encoding (zero without a
+    /// combiner).
+    partition_time: Duration,
 }
 
-/// Maps a batch of logical shards on the pool, one task per shard, returning
-/// the outcomes in shard order. `base_shard` offsets the global map-shard
-/// index (and thus spill run-file names) so the chunked executor can feed
-/// waves of shards through the same code path.
-fn arena_map_shards<I, K, V, O>(
-    shards: &[&[I]],
-    base_shard: usize,
-    reduce_shards: usize,
-    round: &Round<'_, I, K, V, O>,
-    buffers: &Arc<BufferPool>,
-    spill: &Option<Arc<SpillRound>>,
-    pool: &WorkerPool,
-) -> Vec<ArenaMapOutcome>
+/// Input records a combining map task maps into one pair buffer. The shard's
+/// pairs must all exist before grouping starts (the grouping table is sized
+/// to their count), but each buffer is freed as soon as it is grouped, so the
+/// pairs and the growing groups never both hold the whole shard.
+const PAIR_PIECE_RECORDS: usize = 4096;
+
+/// The combining map task: collect the shard's emissions as pairs, group
+/// them by key, combine each group, and encode every surviving record into
+/// its reduce shard's arena, routed by the hash computed while grouping.
+fn map_and_combine<I, K, V>(
+    shard: &[I],
+    mapper: &dyn Mapper<I, K, V>,
+    combiner: &dyn Combiner<K, V>,
+    mut state: ArenaState<K, V>,
+) -> MapOutcome
 where
-    I: Sync,
-    K: Hash + ArenaCodec,
-    V: ArenaCodec,
+    K: Hash + Eq,
 {
-    let mapper = &*round.mapper;
-    let outcome_slots: Vec<Slot<ArenaMapOutcome>> =
-        (0..shards.len()).map(|_| Mutex::new(None)).collect();
-    pool.run_indexed(shards.len(), |shard| {
-        #[cfg(debug_assertions)]
-        let _ = crate::hash::debug_hash_count::take();
-        let state = ArenaState::new(reduce_shards, Arc::clone(buffers))
-            .with_spill(spill.clone(), base_shard + shard);
-        let mut ctx = MapContext::with_arena(state);
-        for record in shards[shard] {
-            mapper.map(record, &mut ctx);
-        }
-        let (buckets, emitted) = ctx.into_arena();
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            crate::hash::debug_hash_count::take() as usize,
-            emitted,
-            "arena map side hashes each emitted key exactly once (routing)"
-        );
-        *outcome_slots[shard]
-            .lock()
-            .expect("arena map slot poisoned") = Some(ArenaMapOutcome { buckets, emitted });
-    });
-    outcome_slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("arena map slot poisoned")
-                .expect("every map shard completed")
+    let pieces: Vec<Vec<(K, V)>> = shard
+        .chunks(PAIR_PIECE_RECORDS)
+        .map(|piece| {
+            let mut ctx = MapContext::pairs();
+            for record in piece {
+                mapper.map(record, &mut ctx);
+            }
+            ctx.into_pairs()
         })
-        .collect()
+        .collect();
+    let emitted = pieces.iter().map(Vec::len).sum();
+    let partition_start = Instant::now();
+    // Capacity, hasher and insertion order fix the table's iteration order,
+    // and with it the order combined records are encoded in.
+    let mut groups: PrehashedMap<K, Vec<V>> = prehashed_map_with_capacity(emitted);
+    for (key, value) in pieces.into_iter().flatten() {
+        groups.entry(Prehashed::new(key)).or_default().push(value);
+    }
+    let mut kept = 0;
+    for (key, values) in groups {
+        let values = combiner.combine(key.key(), values);
+        kept += values.len();
+        for (index, value) in values.iter().enumerate() {
+            state.ship(key.hash(), key.key(), value, index == 0);
+        }
+    }
+    let (buckets, _) = state.into_parts();
+    MapOutcome {
+        buckets,
+        emitted,
+        kept,
+        partition_time: partition_start.elapsed(),
+    }
 }
 
 /// Decodes one chunk's records into the grouping map — shared by the
@@ -368,30 +398,128 @@ fn drain_chunk<K, V, W>(
     }
 }
 
-/// The exchange + reduce back half shared by both arena executors: transpose
-/// bucket ownership, then decode-while-grouping on the reduce workers —
-/// spilled runs first (streamed back one frame at a time through a recycled
-/// buffer), resident chunks after. Fills every reduce-side metric, including
-/// the spill counters, and drops the spill round (removing its directory).
-fn arena_exchange_reduce<I, K, V, O>(
-    mapped: Vec<ArenaMapOutcome>,
+/// What one reduce task hands back: its filled sink shard plus counters.
+struct ReduceOutcome<O> {
+    shard: Box<dyn SinkShard<O>>,
+    emitted: usize,
+    work: u64,
+    groups: usize,
+    max_input: usize,
+    /// Shipped bytes of the records this shard decoded.
+    bytes: u64,
+    /// Time this shard spent reading spilled runs back.
+    read_secs: Duration,
+}
+
+/// Creates the round's spill state when a budget is configured. `None` keeps
+/// the pure in-memory path (and guarantees every spill counter stays zero).
+fn spill_round_for(config: &EngineConfig, threads: usize) -> Option<Arc<SpillRound>> {
+    (config.memory_budget > 0).then(|| {
+        Arc::new(SpillRound::create(
+            config.memory_budget,
+            threads,
+            config.spill_dir.as_deref(),
+        ))
+    })
+}
+
+/// Executes one round over `inputs` on the configured worker pool, streaming
+/// the reducer outputs into `sink`, and returns the measured [`JobMetrics`].
+///
+/// * **Map**: one pool task per logical shard. Without an active combiner
+///   every emission is routed and encoded as the mapper makes it; with one,
+///   the shard's emissions are grouped and combined first
+///   ([`map_and_combine`]).
+/// * **Exchange**: the coordinator transposes arena ownership (worker-major
+///   to reducer-major) without touching a record.
+/// * **Reduce**: one pool task per reduce shard decodes its arenas — spilled
+///   runs first, streamed back one frame at a time, then resident chunks —
+///   into a grouping map, sorts the keys when [`EngineConfig::deterministic`]
+///   is set, and reduces **straight into a private shard of `sink`**; the
+///   coordinator folds the shards back in shard order.
+pub(crate) fn execute_round<I, K, V, O>(
+    inputs: &[I],
     round: &Round<'_, I, K, V, O>,
     config: &EngineConfig,
     sink: &mut dyn OutputSink<O>,
-    pool: &WorkerPool,
-    spill: Option<Arc<SpillRound>>,
-    metrics: &mut JobMetrics,
-) where
+) -> JobMetrics
+where
+    I: Sync,
     K: Hash + Eq + Ord + Send + ArenaCodec,
     V: Send + ArenaCodec,
     O: Send + 'static,
 {
     let threads = config.num_threads.max(1);
+    let pool = config.pool();
     let buffers = pool.buffers();
+    let spill = spill_round_for(config, threads);
+    let combiner = round.combiner.as_deref().filter(|_| config.use_combiners);
+    let mut metrics = JobMetrics {
+        input_records: inputs.len(),
+        ..JobMetrics::default()
+    };
+
+    // ---- Map phase --------------------------------------------------------
+    let map_start = Instant::now();
+    let chunk_size = inputs.len().div_ceil(threads).max(1);
+    let shards: Vec<&[I]> = inputs.chunks(chunk_size).collect();
+    let mapper = &*round.mapper;
+    let map_slots: Vec<Slot<MapOutcome>> = (0..shards.len()).map(|_| Mutex::new(None)).collect();
+    pool.run_indexed(shards.len(), |shard| {
+        #[cfg(debug_assertions)]
+        let _ = crate::hash::debug_hash_count::take();
+        let state = ArenaState::new(threads, Arc::clone(buffers)).with_spill(spill.clone(), shard);
+        let outcome = match combiner {
+            Some(combiner) => map_and_combine(shards[shard], mapper, combiner, state),
+            None => {
+                let mut ctx = MapContext::with_arena(state);
+                for record in shards[shard] {
+                    mapper.map(record, &mut ctx);
+                }
+                let (buckets, emitted) = ctx.into_arena();
+                MapOutcome {
+                    buckets,
+                    emitted,
+                    kept: 0,
+                    partition_time: Duration::ZERO,
+                }
+            }
+        };
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            crate::hash::debug_hash_count::take() as usize,
+            outcome.emitted,
+            "a map task hashes each emitted key exactly once (routing or combine grouping)"
+        );
+        *map_slots[shard].lock().expect("map slot poisoned") = Some(outcome);
+    });
+    let mapped: Vec<MapOutcome> = map_slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("map slot poisoned")
+                .expect("every map shard completed")
+        })
+        .collect();
+    metrics.map_time = map_start.elapsed();
+    metrics.partition_time = mapped
+        .iter()
+        .map(|outcome| outcome.partition_time)
+        .max()
+        .unwrap_or_default();
+    metrics.key_value_pairs = mapped.iter().map(|outcome| outcome.emitted).sum();
+    if combiner.is_some() {
+        metrics.combiner_input_records = metrics.key_value_pairs;
+        metrics.combiner_output_records = mapped.iter().map(|outcome| outcome.kept).sum();
+        metrics.shuffle_records = metrics.combiner_output_records;
+    } else {
+        metrics.shuffle_records = metrics.key_value_pairs;
+    }
 
     // ---- Exchange phase ---------------------------------------------------
-    // The same transpose as the classic executors, except each moved value is
-    // a byte arena (plus its run-file paths) rather than a record vector.
+    // Pure ownership moves: the coordinator handles `workers x threads`
+    // arenas, never a record, so this stage is O(threads^2) regardless of
+    // data size.
     let shuffle_start = Instant::now();
     let workers = mapped.len();
     let mut inboxes: Vec<Vec<ArenaBucket>> =
@@ -405,19 +533,18 @@ fn arena_exchange_reduce<I, K, V, O>(
 
     // ---- Reduce phase -----------------------------------------------------
     // Decode-while-grouping: each record is decoded exactly once, priced by
-    // the round's weigher (same total as map-side pricing), hashed once for
-    // the grouping lookup, and its chunk returned to the buffer pool the
-    // moment it is drained. Spilled runs stream back through one recycled
-    // frame buffer per worker, so re-reading a run keeps a single chunk
-    // resident at a time.
+    // the round's weigher, hashed once for the grouping lookup, and its chunk
+    // released the moment it is drained. Spilled runs
+    // stream back through one recycled frame buffer per worker, so re-reading
+    // a run keeps a single chunk resident at a time.
     let deterministic = config.deterministic;
     let reducer = &*round.reducer;
     let weigher = &*round.record_bytes;
     let reduce_start = Instant::now();
-    let reduce_slots: Vec<Slot<(ReduceOutcome<O>, u64, Duration)>> =
+    let reduce_slots: Vec<Slot<ReduceOutcome<O>>> =
         (0..inboxes.len()).map(|_| Mutex::new(None)).collect();
-    type ArenaReduceWork<O> = (Vec<ArenaBucket>, Box<dyn SinkShard<O>>);
-    let reduce_inputs: Vec<Slot<ArenaReduceWork<O>>> = inboxes
+    type ReduceWork<O> = (Vec<ArenaBucket>, Box<dyn SinkShard<O>>);
+    let reduce_inputs: Vec<Slot<ReduceWork<O>>> = inboxes
         .into_iter()
         .map(|inbox| Mutex::new(Some((inbox, sink.new_shard()))))
         .collect();
@@ -427,15 +554,16 @@ fn arena_exchange_reduce<I, K, V, O>(
         let _ = crate::hash::debug_hash_count::take();
         let (inbox, sink_shard) = reduce_inputs[shard]
             .lock()
-            .expect("arena reduce input poisoned")
+            .expect("reduce input poisoned")
             .take()
             .expect("each reduce shard is claimed once");
-        // Same capacity heuristic as the classic executors: records in the
-        // largest inbound bucket, capped. With capacity, hasher and insertion
-        // order all equal, the grouping map iterates in the classic order.
+        // Capacity heuristic: the largest inbound bucket's grouping entries,
+        // capped so a low-cardinality shard never pre-allocates a table sized
+        // to its record count; past the cap the map doubles a handful of
+        // times, which is cheap.
         let capacity = inbox
             .iter()
-            .map(ArenaBucket::records)
+            .map(ArenaBucket::entries)
             .max()
             .unwrap_or(0)
             .min(1 << 16);
@@ -466,14 +594,18 @@ fn arena_exchange_reduce<I, K, V, O>(
             }
             for chunk in chunks {
                 drain_chunk(&chunk, weigher, &mut grouped, &mut bytes, &mut decoded);
-                buffers.give(chunk);
+                // Under a budget a drained chunk is freed, not banked: the
+                // pool would keep it resident while the grouping tables grow.
+                if spill_ref.is_none() {
+                    buffers.give(chunk);
+                }
             }
         }
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             crate::hash::debug_hash_count::take() as usize,
             decoded,
-            "arena reduce side hashes each decoded key exactly once (grouping)"
+            "a reduce task hashes each decoded key exactly once (grouping)"
         );
         let mut groups: Vec<(K, Vec<V>)> = grouped
             .into_iter()
@@ -489,33 +621,29 @@ fn arena_exchange_reduce<I, K, V, O>(
             reducer.reduce(key, values, &mut ctx);
         }
         let (shard_out, work, emitted) = ctx.into_parts();
-        *reduce_slots[shard]
-            .lock()
-            .expect("arena reduce outcome poisoned") = Some((
-            ReduceOutcome {
-                shard: shard_out,
-                emitted,
-                work,
-                groups: group_count,
-                max_input,
-            },
+        *reduce_slots[shard].lock().expect("reduce slot poisoned") = Some(ReduceOutcome {
+            shard: shard_out,
+            emitted,
+            work,
+            groups: group_count,
+            max_input,
             bytes,
             read_secs,
-        ));
+        });
     });
-    let reduced: Vec<(ReduceOutcome<O>, u64, Duration)> = reduce_slots
+    let reduced: Vec<ReduceOutcome<O>> = reduce_slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .expect("arena reduce outcome poisoned")
+                .expect("reduce slot poisoned")
                 .expect("every reduce shard completed")
         })
         .collect();
     metrics.reduce_time = reduce_start.elapsed();
-    metrics.reducers_used = reduced.iter().map(|(outcome, _, _)| outcome.groups).sum();
+    metrics.reducers_used = reduced.iter().map(|outcome| outcome.groups).sum();
     metrics.max_reducer_input = reduced
         .iter()
-        .map(|(outcome, _, _)| outcome.max_input)
+        .map(|outcome| outcome.max_input)
         .max()
         .unwrap_or(0);
     // Critical-path read time, like partition_time: the longest any single
@@ -523,12 +651,15 @@ fn arena_exchange_reduce<I, K, V, O>(
     // phase).
     metrics.spill_read_secs = reduced
         .iter()
-        .map(|(_, _, read_secs)| *read_secs)
+        .map(|outcome| outcome.read_secs)
         .max()
         .unwrap_or(Duration::ZERO);
 
-    for (outcome, bytes, _) in reduced {
-        metrics.shuffle_bytes += bytes;
+    // Fold the shards back into the sink in shard order — for a collecting
+    // sink this is a reserve-and-append merge; for a counting sink no record
+    // was ever buffered anywhere.
+    for outcome in reduced {
+        metrics.shuffle_bytes += outcome.bytes;
         metrics.reducer_work += outcome.work;
         metrics.outputs += outcome.emitted;
         sink.fold(outcome.shard);
@@ -539,116 +670,6 @@ fn arena_exchange_reduce<I, K, V, O>(
         // Last owner: dropping removes the spill directory.
         drop(spill);
     }
-}
-
-/// Creates the round's spill state when a budget is configured. `None` keeps
-/// the pure in-memory path (and guarantees every spill counter stays zero).
-fn spill_round_for(config: &EngineConfig, threads: usize) -> Option<Arc<SpillRound>> {
-    (config.memory_budget > 0).then(|| {
-        Arc::new(SpillRound::create(
-            config.memory_budget,
-            threads,
-            config.spill_dir.as_deref(),
-        ))
-    })
-}
-
-/// The arena executor: same two-phase exchange as the classic executors
-/// (see [`crate::pipeline`]), with serialized buckets. Selected per round via
-/// [`Round::arena`] when the round has codec-capable key/value types, runs on
-/// the worker pool, and is skipped when a combiner is active (combined rounds
-/// keep the classic representation; their buckets hold `Vec<V>` groups the
-/// arena format does not model).
-pub(crate) fn execute_round_arena<I, K, V, O>(
-    inputs: &[I],
-    round: &Round<'_, I, K, V, O>,
-    config: &EngineConfig,
-    sink: &mut dyn OutputSink<O>,
-    pool: &WorkerPool,
-) -> JobMetrics
-where
-    I: Sync,
-    K: Hash + Eq + Ord + Send + ArenaCodec,
-    V: Send + ArenaCodec,
-    O: Send + 'static,
-{
-    let threads = config.num_threads.max(1);
-    let buffers = pool.buffers();
-    let spill = spill_round_for(config, threads);
-    let mut metrics = JobMetrics {
-        input_records: inputs.len(),
-        ..JobMetrics::default()
-    };
-
-    // ---- Map phase --------------------------------------------------------
-    // One task per logical shard, like the scoped executor: emissions are
-    // routed and serialized as they happen, so there is no separate partition
-    // stage (and no pair vector to accumulate into).
-    let map_start = Instant::now();
-    let chunk_size = inputs.len().div_ceil(threads).max(1);
-    let shards: Vec<&[I]> = inputs.chunks(chunk_size).collect();
-    let mapped = arena_map_shards(&shards, 0, threads, round, buffers, &spill, pool);
-    metrics.map_time = map_start.elapsed();
-    metrics.key_value_pairs = mapped.iter().map(|outcome| outcome.emitted).sum();
-    metrics.shuffle_records = metrics.key_value_pairs;
-
-    arena_exchange_reduce(mapped, round, config, sink, pool, spill, &mut metrics);
-    metrics
-}
-
-/// The streaming arena executor: consumes an [`InputChunk`] iterator in waves
-/// of `threads` chunks, so owned batches (e.g. text-source reads) are dropped
-/// as soon as their wave is mapped and no stage ever holds the full input
-/// resident. Each yielded chunk is one logical map shard; feeding the same
-/// shard boundaries as the slice path (`len.div_ceil(threads)`) yields
-/// byte-identical outputs and counters.
-pub(crate) fn execute_round_arena_chunked<'s, I, K, V, O>(
-    chunks: &mut dyn Iterator<Item = InputChunk<'s, I>>,
-    round: &Round<'_, I, K, V, O>,
-    config: &EngineConfig,
-    sink: &mut dyn OutputSink<O>,
-    pool: &WorkerPool,
-) -> JobMetrics
-// No explicit `'s` bounds: the lifetime must stay late-bound so this fn item
-// coerces to the `for<'s>` ArenaChunkExec pointer Round::arena captures.
-where
-    I: Sync,
-    K: Hash + Eq + Ord + Send + ArenaCodec,
-    V: Send + ArenaCodec,
-    O: Send + 'static,
-{
-    let threads = config.num_threads.max(1);
-    let buffers = pool.buffers();
-    let spill = spill_round_for(config, threads);
-    let mut metrics = JobMetrics::default();
-
-    // ---- Map phase (wave loop) -------------------------------------------
-    let map_start = Instant::now();
-    let mut mapped: Vec<ArenaMapOutcome> = Vec::new();
-    loop {
-        let mut wave: Vec<InputChunk<'s, I>> = Vec::with_capacity(threads);
-        while wave.len() < threads {
-            match chunks.next() {
-                Some(chunk) => wave.push(chunk),
-                None => break,
-            }
-        }
-        if wave.is_empty() {
-            break;
-        }
-        let slices: Vec<&[I]> = wave.iter().map(InputChunk::as_slice).collect();
-        metrics.input_records += slices.iter().map(|slice| slice.len()).sum::<usize>();
-        let outcomes =
-            arena_map_shards(&slices, mapped.len(), threads, round, buffers, &spill, pool);
-        mapped.extend(outcomes);
-        // `wave` drops here: owned batches are freed before the next wave
-        // streams in.
-    }
-    metrics.map_time = map_start.elapsed();
-    metrics.key_value_pairs = mapped.iter().map(|outcome| outcome.emitted).sum();
-    metrics.shuffle_records = metrics.key_value_pairs;
-
-    arena_exchange_reduce(mapped, round, config, sink, pool, spill, &mut metrics);
     metrics
 }
 
@@ -663,9 +684,9 @@ mod tests {
         let buffers = pool.buffers();
         let mut bucket = ArenaBucket::new();
         let record = vec![0xabu8; 600 * 1024]; // two won't share a 1 MiB chunk
-        assert!(bucket.push(&record, buffers, ARENA_CHUNK, false) > 0);
-        assert!(bucket.push(&record, buffers, ARENA_CHUNK, false) > 0);
-        assert_eq!(bucket.records(), 2);
+        assert!(bucket.push(&record, true, buffers, ARENA_CHUNK, false) > 0);
+        assert!(bucket.push(&record, true, buffers, ARENA_CHUNK, false) > 0);
+        assert_eq!(bucket.entries(), 2);
         let (runs, chunks) = bucket.into_parts();
         assert!(runs.is_empty());
         assert_eq!(chunks.len(), 2);
@@ -678,9 +699,9 @@ mod tests {
         let buffers = pool.buffers();
         let mut bucket = ArenaBucket::new();
         let huge = vec![1u8; ARENA_CHUNK + 17];
-        bucket.push(&huge, buffers, ARENA_CHUNK, false);
+        bucket.push(&huge, true, buffers, ARENA_CHUNK, false);
         assert_eq!(
-            bucket.push(&[2u8, 3], buffers, ARENA_CHUNK, false),
+            bucket.push(&[2u8, 3], true, buffers, ARENA_CHUNK, false),
             ARENA_CHUNK
         );
         let (_, chunks) = bucket.into_parts();
@@ -694,8 +715,8 @@ mod tests {
         let pool = WorkerPool::new(0);
         let buffers = pool.buffers();
         let mut bucket = ArenaBucket::new();
-        assert!(bucket.push(&[1u8; 16], buffers, 4096, true) > 0);
-        assert_eq!(bucket.push(&[2u8; 16], buffers, 4096, true), 0);
+        assert!(bucket.push(&[1u8; 16], true, buffers, 4096, true) > 0);
+        assert_eq!(bucket.push(&[2u8; 16], true, buffers, 4096, true), 0);
     }
 
     #[test]
@@ -711,7 +732,7 @@ mod tests {
         assert_eq!(state.emitted(), 1000);
         let (buckets, emitted) = state.into_parts();
         assert_eq!(emitted, 1000);
-        let total: usize = buckets.iter().map(ArenaBucket::records).sum();
+        let total: usize = buckets.iter().map(ArenaBucket::entries).sum();
         assert_eq!(total, 1000);
         // Decoding each bucket yields keys that route to that bucket.
         for (shard, bucket) in buckets.into_iter().enumerate() {
@@ -757,7 +778,7 @@ mod tests {
         assert_eq!(emitted, total as usize);
         let mut seen = 0usize;
         for bucket in buckets {
-            let records = bucket.records();
+            let records = bucket.entries();
             let (runs, chunks) = bucket.into_parts();
             assert!(!runs.is_empty(), "both shards spilled under this budget");
             let mut keys: Vec<u32> = Vec::new();

@@ -9,19 +9,15 @@ use crate::pool::WorkerPool;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Which execution substrate runs a round's map and reduce tasks.
+/// Which worker pool runs a round's map and reduce tasks.
 #[derive(Clone, Debug, Default)]
 pub(crate) enum Executor {
-    /// A persistent worker pool: `None` means the lazily-created
-    /// process-global [`WorkerPool::global`], `Some` is an explicitly shared
-    /// pool (e.g. the one `subgraph serve` hands every query).
+    /// The lazily-created process-global [`WorkerPool::global`].
     #[default]
     GlobalPool,
-    /// An explicitly shared pool.
+    /// An explicitly shared pool (e.g. the one `subgraph serve` hands every
+    /// query).
     Pool(Arc<WorkerPool>),
-    /// Legacy per-round `std::thread::scope` spawns. Kept as the parity and
-    /// bench baseline; produces byte-identical outputs and counters.
-    Scoped,
 }
 
 /// Engine configuration.
@@ -47,23 +43,18 @@ pub struct EngineConfig {
     /// the reducer outputs are identical either way (that is the combiner
     /// contract, and the property tests pin it).
     pub use_combiners: bool,
-    /// If true (the default), rounds that opted into the arena shuffle
-    /// ([`crate::Round::arena`]) serialize their map emissions into compact
-    /// per-shard byte arenas when running on a worker pool. Disable with
-    /// [`EngineConfig::arena_shuffle`] to force the classic `Vec<(K, V)>`
-    /// representation — outputs and all [`crate::JobMetrics`] counters are
-    /// byte-identical either way (the parity suites pin it); only resident
-    /// memory differs.
-    pub use_arena: bool,
-    /// Resident-memory budget in bytes for a round's in-flight arena records
-    /// (0, the default, means unbounded — never touch disk). When the sealed
-    /// arena chunks of a round cross this budget, map workers spill them to
-    /// run files under [`EngineConfig::spill_dir`] and the reduce phase
-    /// streams them back, so peak RSS tracks the budget instead of the
-    /// workload. Only rounds on the arena path spill (worker pool,
-    /// [`EngineConfig::use_arena`], no active combiner); classic rounds
-    /// ignore the budget. Outputs and all non-spill [`crate::JobMetrics`]
-    /// counters are byte-identical at any budget (the parity suites pin it).
+    /// Resident-memory budget in bytes for a round's in-flight shuffle
+    /// records (0, the default, means unbounded — never touch disk). When the
+    /// sealed arena chunks of a round cross this budget, map workers spill
+    /// them to run files under [`EngineConfig::spill_dir`] and the reduce
+    /// phase streams them back, so the shuffle's resident memory tracks the
+    /// budget instead of the workload. Every round is bounded, combining
+    /// rounds included: combined records are encoded into the same arenas.
+    /// Not bounded: the per-map-shard table a combining round groups its
+    /// emissions in before combining, the reduce-side grouping of one shard,
+    /// and whatever a [`crate::Pipeline::prepare`] stage materializes.
+    /// Outputs and all non-spill [`crate::JobMetrics`] counters are
+    /// byte-identical at any budget (the parity suites pin it).
     pub memory_budget: usize,
     /// Base directory for spill run files (`None`, the default, uses the OS
     /// temp dir). Each round creates — and removes on completion *and* on
@@ -72,9 +63,8 @@ pub struct EngineConfig {
     /// front with [`EngineConfig::validate_spill_dir`]; a mid-round I/O
     /// failure panics with the offending run file and spill dir named.
     pub spill_dir: Option<PathBuf>,
-    /// The execution substrate: the persistent worker pool (default) or the
-    /// legacy scoped-thread path. Private — set through
-    /// [`EngineConfig::with_pool`] / [`EngineConfig::scoped_threads`].
+    /// The worker pool rounds run on: the process-global one (default) or a
+    /// shared one. Private — set through [`EngineConfig::with_pool`].
     pub(crate) executor: Executor,
 }
 
@@ -86,7 +76,6 @@ impl Default for EngineConfig {
                 .unwrap_or(1),
             deterministic: true,
             use_combiners: true,
-            use_arena: true,
             memory_budget: 0,
             spill_dir: None,
             executor: Executor::default(),
@@ -117,14 +106,7 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables the arena shuffle for opted-in rounds (enabled by
-    /// default; see [`EngineConfig::use_arena`]).
-    pub fn arena_shuffle(mut self, enabled: bool) -> Self {
-        self.use_arena = enabled;
-        self
-    }
-
-    /// Sets the resident-memory budget in bytes for in-flight arena records
+    /// Sets the resident-memory budget in bytes for in-flight shuffle records
     /// (see [`EngineConfig::memory_budget`]; 0 disables spilling).
     pub fn memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = bytes;
@@ -161,27 +143,11 @@ impl EngineConfig {
         self
     }
 
-    /// Reverts to the pre-pool executor: fresh `std::thread::scope` spawns
-    /// per round. The outputs and every [`crate::JobMetrics`] counter are
-    /// byte-identical to the pooled path (the parity suites pin this); only
-    /// the thread lifecycle differs. Used by the parity tests and the
-    /// `reproduce shuffle` pool-vs-scoped comparison.
-    pub fn scoped_threads(mut self) -> Self {
-        self.executor = Executor::Scoped;
-        self
-    }
-
-    /// True when rounds run on a persistent pool (the default).
-    pub fn uses_pool(&self) -> bool {
-        !matches!(self.executor, Executor::Scoped)
-    }
-
-    /// The pool rounds should run on, or `None` for the scoped-thread path.
-    pub(crate) fn pool(&self) -> Option<&Arc<WorkerPool>> {
+    /// The pool rounds run on.
+    pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
         match &self.executor {
-            Executor::GlobalPool => Some(WorkerPool::global()),
-            Executor::Pool(pool) => Some(pool),
-            Executor::Scoped => None,
+            Executor::GlobalPool => WorkerPool::global(),
+            Executor::Pool(pool) => pool,
         }
     }
 }
@@ -203,6 +169,7 @@ mod tests {
     use crate::pipeline::{Pipeline, Round};
     use crate::task::{MapContext, Mapper, ReduceContext, Reducer};
     use std::hash::Hash;
+    use subgraph_codec::ArenaCodec;
 
     /// One-round pipeline helper with the shape of the old `run_job` entry
     /// point, so these engine-level tests stay focused on the dataflow.
@@ -214,8 +181,8 @@ mod tests {
     ) -> (Vec<O>, JobMetrics)
     where
         I: Sync + Send + Clone + 'static,
-        K: Hash + Eq + Ord + Send,
-        V: Send,
+        K: Hash + Eq + Ord + Send + ArenaCodec,
+        V: Send + ArenaCodec,
         O: Send + Clone + 'static,
     {
         let (outputs, report) = Pipeline::new()

@@ -25,20 +25,18 @@
 //! `shuffle_bytes`).
 //!
 //! The engine runs mappers and reducers on a persistent [`WorkerPool`]
-//! (work-stealing indexed tasks on long-lived threads; a per-round
-//! `std::thread::scope` fallback remains behind
-//! [`EngineConfig::scoped_threads`] as the parity baseline). The simulated
-//! shuffle is a two-phase
-//! parallel exchange: map workers partition their own emissions into one
-//! bucket per reduce worker (hashing each key exactly once with the in-repo
-//! [`hash_of`] FxHash and reusing that hash for routing and grouping), the
-//! coordinator only moves bucket ownership, and reduce workers group and sort
-//! their shard in parallel. The engine intentionally does not model network
-//! transfer or fault tolerance — neither affects the two cost measures above.
-//! It does, however, bound its own memory: past an
-//! [`EngineConfig::memory_budget`] the arena shuffle spills sealed chunk runs
-//! to disk and streams them back during the reduce, so peak RSS tracks the
-//! budget rather than the workload while outputs stay byte-identical.
+//! (indexed tasks on long-lived threads) and every round on one executor,
+//! the arena shuffle: a two-phase parallel exchange in which map workers
+//! serialize their emissions — combined first when a combiner is active —
+//! into one byte arena per reduce worker, routed by the in-repo [`hash_of`]
+//! FxHash; the coordinator only moves arena ownership, and reduce workers
+//! decode, group and sort their shard in parallel. The engine intentionally
+//! does not model network transfer or fault tolerance — neither affects the
+//! two cost measures above. It does, however, bound its shuffle's memory:
+//! past an [`EngineConfig::memory_budget`] map workers spill sealed arena
+//! chunks to disk and the reduce phase streams them back, so the shuffle's
+//! resident memory tracks the budget rather than the workload while outputs
+//! stay byte-identical.
 //!
 //! Results leave the engine through streaming [`OutputSink`]s
 //! ([`Pipeline::run_with_sink`]): the final round's reduce workers feed one
@@ -59,10 +57,12 @@ pub mod task;
 pub use engine::{shard_for_hash, EngineConfig};
 pub use hash::{hash_of, FxBuildHasher, FxHasher};
 pub use metrics::JobMetrics;
-pub use pipeline::{InputChunk, Pipeline, PipelineReport, Round, RoundMetrics};
+pub use pipeline::{Pipeline, PipelineReport, Round, RoundMetrics};
 pub use pool::WorkerPool;
 pub use sink::{BufferShard, CollectSink, CountSink, FnSink, OutputSink, SampleSink, SinkShard};
 pub use task::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
 
+#[cfg(test)]
+mod oracle;
 #[cfg(test)]
 mod proptests;

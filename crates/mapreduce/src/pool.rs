@@ -1,12 +1,12 @@
 //! A persistent worker pool: the engine's execution substrate.
 //!
-//! Before this module existed every [`crate::Pipeline`] round paid two
-//! `std::thread::scope` spawn/join cycles — once for the map phase, once for
-//! the reduce phase. A long-lived process (the `subgraph serve` query
-//! service, a bench sweeping thread counts, any multi-round pipeline) repeats
-//! that cost per round, and on small rounds the spawn/teardown dominates the
-//! useful work. A [`WorkerPool`] keeps its OS threads alive for the pool's
-//! lifetime and hands them *indexed tasks* instead:
+//! The engine runs every [`crate::Pipeline`] round's map and reduce phases
+//! on a [`WorkerPool`] instead of spawning threads per phase: a long-lived
+//! process (the `subgraph serve` query service, a bench sweeping thread
+//! counts, any multi-round pipeline) would otherwise pay two spawn/join
+//! cycles per round, and on small rounds the spawn/teardown dominates the
+//! useful work. A pool keeps its OS threads alive for the pool's lifetime
+//! and hands them *indexed tasks* instead:
 //!
 //! * [`WorkerPool::run_indexed`] executes `task(0..count)` across the pool
 //!   and the calling thread, returning when every index has finished. Indices
@@ -22,16 +22,14 @@
 //!   behaviour as a scoped spawn whose join propagates the panic.
 //!
 //! The pool also owns a `BufferPool`: a type-erased free list of `Vec`
-//! allocations keyed by element layout, letting the shuffle recycle its
-//! per-reduce-worker bucket vectors across rounds instead of reallocating
-//! them every round (see `docs/ENGINE.md`, "Persistent worker pool").
+//! allocations keyed by element layout, letting the shuffle recycle its arena
+//! chunks across rounds instead of reallocating them every round (see
+//! `docs/ENGINE.md`, "The worker pool").
 //!
-//! Engine integration: [`crate::EngineConfig`] carries an executor choice —
-//! the process-global pool ([`WorkerPool::global`], the default), an explicit
+//! Engine integration: [`crate::EngineConfig`] names the pool — the
+//! process-global one ([`WorkerPool::global`], the default) or an explicit
 //! shared pool ([`crate::EngineConfig::with_pool`], what `subgraph serve`
-//! uses so concurrent queries share one set of workers), or the legacy
-//! scoped-thread path ([`crate::EngineConfig::scoped_threads`], kept as the
-//! parity baseline).
+//! uses so concurrent queries share one set of workers).
 
 use std::alloc::{dealloc, Layout};
 use std::any::Any;

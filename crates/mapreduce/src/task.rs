@@ -3,9 +3,9 @@
 use crate::arena::ArenaState;
 use crate::sink::SinkShard;
 
-/// How a [`MapContext`] stores its emissions: as plain pairs (the classic
-/// executors partition them afterwards), or routed and serialized on the fly
-/// into per-reduce-shard byte arenas (the arena executor — see
+/// How a [`MapContext`] stores its emissions: as plain pairs (a combining
+/// round groups and combines them afterwards), or routed and serialized on
+/// the fly into per-reduce-shard byte arenas (every other round — see
 /// [`crate::arena`]).
 enum Emissions<K, V> {
     Pairs(Vec<(K, V)>),
@@ -16,25 +16,17 @@ enum Emissions<K, V> {
 /// unit of communication cost). The engine reuses one context for all of a
 /// map worker's records, so emissions accumulate instead of paying one
 /// allocation per record. Whether emissions accumulate as pairs or as
-/// serialized arena records is the executor's choice; mappers never see the
+/// serialized arena records is the engine's choice; mappers never see the
 /// difference.
 pub struct MapContext<K, V> {
     emitted: Emissions<K, V>,
 }
 
 impl<K, V> MapContext<K, V> {
-    pub(crate) fn new() -> Self {
+    /// A context collecting plain pairs (the combining path).
+    pub(crate) fn pairs() -> Self {
         MapContext {
             emitted: Emissions::Pairs(Vec::new()),
-        }
-    }
-
-    /// A context emitting into a recycled (empty) buffer — the pooled
-    /// executor's way of reusing pair-vector allocations across rounds.
-    pub(crate) fn with_buffer(emitted: Vec<(K, V)>) -> Self {
-        debug_assert!(emitted.is_empty());
-        MapContext {
-            emitted: Emissions::Pairs(emitted),
         }
     }
 
@@ -61,18 +53,18 @@ impl<K, V> MapContext<K, V> {
         }
     }
 
-    /// The emitted pairs (classic executors only).
+    /// The emitted pairs (pair contexts only).
     pub(crate) fn into_pairs(self) -> Vec<(K, V)> {
         match self.emitted {
             Emissions::Pairs(pairs) => pairs,
-            Emissions::Arena(_) => unreachable!("classic executors use pair contexts"),
+            Emissions::Arena(_) => unreachable!("combining rounds use pair contexts"),
         }
     }
 
-    /// The filled arenas and emission count (arena executor only).
+    /// The filled arenas and emission count (arena contexts only).
     pub(crate) fn into_arena(self) -> (Vec<crate::arena::ArenaBucket>, usize) {
         match self.emitted {
-            Emissions::Pairs(_) => unreachable!("the arena executor uses arena contexts"),
+            Emissions::Pairs(_) => unreachable!("combiner-less rounds use arena contexts"),
             Emissions::Arena(state) => state.into_parts(),
         }
     }
@@ -81,7 +73,7 @@ impl<K, V> MapContext<K, V> {
 /// Streams reducer output into a [`SinkShard`] and tracks the reducer's
 /// self-reported computation cost. The engine gives each reduce worker one
 /// context for all the keys it owns; every [`ReduceContext::emit`] goes
-/// straight to the worker's sink shard — a buffering shard on the legacy
+/// straight to the worker's sink shard — a buffering shard on the
 /// `Vec`-collecting path, a constant-memory shard for counting sinks — so
 /// the engine itself never materializes a `Vec` of final outputs.
 pub struct ReduceContext<O> {
@@ -211,7 +203,7 @@ mod tests {
 
     #[test]
     fn map_context_counts_emissions() {
-        let mut ctx: MapContext<u32, &str> = MapContext::new();
+        let mut ctx: MapContext<u32, &str> = MapContext::pairs();
         ctx.emit(1, "a");
         ctx.emit(2, "b");
         assert_eq!(ctx.emitted_len(), 2);
@@ -238,7 +230,7 @@ mod tests {
     #[test]
     fn closures_implement_the_traits() {
         let mapper = |x: &u32, ctx: &mut MapContext<u32, u32>| ctx.emit(x % 2, *x);
-        let mut ctx = MapContext::new();
+        let mut ctx = MapContext::pairs();
         mapper.map(&5, &mut ctx);
         assert_eq!(ctx.into_pairs(), vec![(1, 5)]);
 

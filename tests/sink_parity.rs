@@ -188,76 +188,64 @@ fn fn_sink_sees_the_exact_deterministic_order() {
 }
 
 #[test]
-fn arena_shuffle_matches_the_classic_shuffle_for_every_strategy() {
-    // Every planner-selectable strategy, arena shuffle on vs off: identical
-    // instance order and byte-identical counters at each thread count. This
-    // pins that the serialized per-shard arenas change *how* records cross
-    // the shuffle, never what arrives or what is measured.
-    for (name, sample) in patterns() {
-        let graph = generators::gnp(46, 0.10, 9_100);
-        for (kind, k) in strategies(&sample) {
-            for threads in THREAD_COUNTS {
-                let context = format!("{name} {kind} threads={threads}");
-                let arena = EnumerationRequest::new(sample.clone(), &graph)
-                    .reducers(k)
-                    .strategy(kind)
-                    .engine(EngineConfig::with_threads(threads))
-                    .plan()
-                    .unwrap_or_else(|e| panic!("{kind} should apply: {e}"))
-                    .execute();
-                let classic = EnumerationRequest::new(sample.clone(), &graph)
-                    .reducers(k)
-                    .strategy(kind)
-                    .engine(EngineConfig::with_threads(threads).arena_shuffle(false))
-                    .plan()
-                    .unwrap_or_else(|e| panic!("{kind} should apply: {e}"))
-                    .execute();
-                assert_eq!(arena.count(), classic.count(), "{context}");
-                assert_eq!(arena.instances(), classic.instances(), "{context}");
-                assert_same_metrics(&arena, &classic, &context);
-            }
-        }
-    }
-}
-
-#[test]
 fn a_forced_64k_budget_matches_the_unbudgeted_run_for_every_strategy() {
     // Every planner-selectable strategy under a 64 KiB shuffle memory budget:
     // identical instances, identical order, and every non-spill counter
-    // byte-identical to the unbudgeted run. On this small graph most
+    // byte-identical to the unbudgeted run. On the small graph most
     // combinations stay resident — which pins the other side of the contract:
-    // a budget that is never exceeded must not change anything.
+    // a budget that is never exceeded must not change anything. The triangle
+    // strategies also run on a graph whose shuffle dwarfs the budget, and the
+    // combining multiway round must spill there at least once.
+    let small = generators::gnp(46, 0.10, 9_100);
+    let heavy = generators::gnm(240, 3_600, 9_300);
+    let mut multiway_spilled = false;
     for (name, sample) in patterns() {
-        let graph = generators::gnp(46, 0.10, 9_100);
-        for (kind, k) in strategies(&sample) {
-            for threads in THREAD_COUNTS {
-                let context = format!("{name} {kind} threads={threads} budget=64K");
-                let run = |budget: usize| {
-                    EnumerationRequest::new(sample.clone(), &graph)
-                        .reducers(k)
-                        .strategy(kind)
-                        .engine(EngineConfig::with_threads(threads).memory_budget(budget))
-                        .plan()
-                        .unwrap_or_else(|e| panic!("{kind} should apply: {e}"))
-                        .execute()
-                };
-                let base = run(0);
-                let budgeted = run(64 << 10);
-                assert_eq!(budgeted.count(), base.count(), "{context}");
-                assert_eq!(budgeted.instances(), base.instances(), "{context}");
-                assert_eq!(
-                    budgeted.metrics.as_ref().map(counters_without_spill),
-                    base.metrics.as_ref().map(counters_without_spill),
-                    "{context}"
-                );
-                assert_eq!(
-                    base.metrics.as_ref().map_or(0, |m| m.spilled_bytes),
-                    0,
-                    "{context}: the unbudgeted run must never touch disk"
-                );
+        let graphs = if name == "triangle" {
+            vec![&small, &heavy]
+        } else {
+            vec![&small]
+        };
+        for graph in graphs {
+            for (kind, k) in strategies(&sample) {
+                for threads in THREAD_COUNTS {
+                    let context = format!(
+                        "{name} {kind} threads={threads} m={} budget=64K",
+                        graph.num_edges()
+                    );
+                    let run = |budget: usize| {
+                        EnumerationRequest::new(sample.clone(), graph)
+                            .reducers(k)
+                            .strategy(kind)
+                            .engine(EngineConfig::with_threads(threads).memory_budget(budget))
+                            .plan()
+                            .unwrap_or_else(|e| panic!("{kind} should apply: {e}"))
+                            .execute()
+                    };
+                    let base = run(0);
+                    let budgeted = run(64 << 10);
+                    assert_eq!(budgeted.count(), base.count(), "{context}");
+                    assert_eq!(budgeted.instances(), base.instances(), "{context}");
+                    assert_eq!(
+                        budgeted.metrics.as_ref().map(counters_without_spill),
+                        base.metrics.as_ref().map(counters_without_spill),
+                        "{context}"
+                    );
+                    assert_eq!(
+                        base.metrics.as_ref().map_or(0, |m| m.spilled_bytes),
+                        0,
+                        "{context}: the unbudgeted run must never touch disk"
+                    );
+                    if kind == StrategyKind::MultiwayTriangles {
+                        multiway_spilled |= budgeted.metrics.as_ref().unwrap().spilled_bytes > 0;
+                    }
+                }
             }
         }
     }
+    assert!(
+        multiway_spilled,
+        "no multiway configuration spilled under a 64 KiB budget"
+    );
 }
 
 #[test]
